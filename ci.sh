@@ -64,7 +64,9 @@
 #                         sanitizer. The shard fault-domain suite (circuit
 #                         breakers, hedged sub-queries, degraded merges)
 #                         runs here too: hedging races a replica against a
-#                         stalled primary by design.
+#                         stalled primary by design, and so does the
+#                         fuzz-lite sweep, whose sharded and body-cache arms
+#                         fan out through the TaskPool.
 #   6. ASan + UBSan     — the chaos sanitizer gate: the fault-injection
 #                         suite, the fuzz-lite chaos sweep (including its
 #                         sharded arm and the body-cache insert/query
@@ -72,7 +74,10 @@
 #                         the shard suite (circuit breakers, hedged
 #                         sub-queries, degraded merges) and the HTTP server
 #                         suite (slowloris timeouts, drain, socket chaos)
-#                         rebuilt under address+undefined sanitizers.
+#                         rebuilt under address+undefined sanitizers, plus
+#                         the translator suites (template language, catalog,
+#                         §5.3 rendering and its byte-identity oracle), whose
+#                         row views point into the result database.
 #                         Injected faults exercise every degradation path
 #                         (drops, failed lookups, retries, placeholders,
 #                         skipped shards, short writes); this leg proves
@@ -245,10 +250,10 @@ cmake --build "$ROOT/build-$SANITIZER" -j "$JOBS" \
   --target concurrency_test service_test execution_context_test \
            lru_cache_test answer_cache_test task_pool_test \
            parallel_dbgen_test arena_test symbol_table_test server_test \
-           shard_test
+           shard_test fuzz_lite_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-$SANITIZER" --output-on-failure -j "$JOBS" \
-  -R 'Concurrency|Service|ExecutionContext|LruCache|AnswerCache|TaskPool|ParallelDbGen|Arena|SymbolTable|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|CircuitBreaker|ServerChaosConfig'
+  -R 'Concurrency|Service|ExecutionContext|LruCache|AnswerCache|TaskPool|ParallelDbGen|Arena|SymbolTable|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|CircuitBreaker|ServerChaosConfig|FuzzLite'
 
 echo "=== [6/6] ASan+UBSan build + chaos sanitizer gate ==="
 cmake -B "$ROOT/build-asan-ubsan" -S "$ROOT" \
@@ -256,9 +261,9 @@ cmake -B "$ROOT/build-asan-ubsan" -S "$ROOT" \
 cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
   --target fault_injection_test fuzz_lite_test service_test \
            arena_test columnar_test server_test shard_test \
-           answer_cache_test
+           answer_cache_test translator_test translator_oracle_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|RelationKernel|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|RelationKernel|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|Template|Catalog|Render|TranslatorOracle'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

@@ -174,6 +174,10 @@ void TaskPool::Execute(Task task) noexcept {
     task.group->CaptureException();
   }
   --tls.depth;
+  // Destroy the callable before signalling: once TaskDone publishes the
+  // completion, the waiter may return and free whatever the captures
+  // refer to.
+  task.fn = nullptr;
   task.group->TaskDone();
 }
 
@@ -230,10 +234,15 @@ void TaskPool::Group::Wait() {
 }
 
 void TaskPool::Group::TaskDone() noexcept {
+  // Decrement and notify under the mutex. Wait() may return — and the
+  // Group, often a stack object, die — as soon as it sees pending_ == 0,
+  // but it takes mutex_ once more before returning, so it cannot get past
+  // that until this critical section has released the lock: nothing here
+  // touches the Group after the unlock. (Decrementing before locking let
+  // the waiter return between the two, leaving this thread to lock a
+  // destroyed mutex.)
+  std::lock_guard<std::mutex> lock(mutex_);
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Notify under the mutex so a waiter between its pending check and
-    // cv wait cannot miss the signal.
-    std::lock_guard<std::mutex> lock(mutex_);
     done_cv_.notify_all();
   }
 }

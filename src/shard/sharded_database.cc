@@ -287,19 +287,18 @@ Result<Tid> ShardedDatabase::Insert(const std::string& relation, Tuple tuple) {
   const size_t owner = router_.ShardOf(view.seed_, global);
 
   // Cross-shard primary-key uniqueness: the owning shard's Insert checks
-  // only its own tuples, so probe the others for the key value first.
+  // only its own tuples, so probe the others' key sets first (one hash
+  // probe per shard, whether or not the key attribute is indexed).
   if (view.schema_.primary_key()) {
     const size_t pk = *view.schema_.primary_key();
     if (pk < tuple.size() && !tuple[pk].is_null()) {
-      const std::string& pk_name = view.schema_.attribute(pk).name;
       for (size_t s = 0; s < shards_.size(); ++s) {
         if (s == owner) continue;  // the owner's Insert enforces its own
-        auto hits = view.shard_rel_[s]->LookupEquals(pk_name, tuple[pk]);
-        if (!hits.ok()) return hits.status();
-        if (!hits->empty()) {
+        if (view.shard_rel_[s]->HasPrimaryKey(tuple[pk])) {
           return Status::InvalidArgument(
-              "duplicate primary key value for attribute '" + pk_name +
-              "' in relation '" + relation + "'");
+              "duplicate primary key value for attribute '" +
+              view.schema_.attribute(pk).name + "' in relation '" +
+              relation + "'");
         }
       }
     }

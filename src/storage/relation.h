@@ -104,6 +104,13 @@ class Relation {
   void ProjectRowsAll(const Tid* tids, size_t n, Value* out,
                       ExecutionContext* ctx = nullptr) const;
 
+  /// True when a tuple holding `key` in the primary-key attribute exists
+  /// (always false without a declared key). O(1), uncharged: the set
+  /// Insert enforces uniqueness with, not an instrumented read.
+  bool HasPrimaryKey(const Value& key) const {
+    return pk_values_.count(key) > 0;
+  }
+
   /// Builds (or rebuilds) a hash index on the named attribute.
   Status CreateIndex(const std::string& attribute_name);
 

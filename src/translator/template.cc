@@ -22,6 +22,27 @@ std::string ReadIdent(const std::string& s, size_t* pos) {
 
 constexpr int kMaxMacroDepth = 16;
 
+/// Appends `v` as Value::ToString() renders it, without the temporary
+/// string for the (common) string case.
+void AppendValue(const Value& v, std::string* out) {
+  if (v.is_string()) {
+    out->append(v.AsString());
+  } else {
+    out->append(v.ToString());
+  }
+}
+
+/// Number of list tuples that bind `attr` (the arity of @attr).
+size_t ListArity(const TemplateContext& context, const std::string& attr) {
+  size_t arity = 0;
+  if (context.list != nullptr) {
+    for (const BoundRow& row : *context.list) {
+      if (row.Find(attr) != nullptr) ++arity;
+    }
+  }
+  return arity;
+}
+
 bool IsKnownFunction(const std::string& name) {
   return name == "upper" || name == "lower" || name == "trim" ||
          name == "count";
@@ -185,13 +206,11 @@ Status Template::ResolveVariable(const std::string& name, bool indexed,
                                  std::string* out) const {
   // Indexed access targets the list.
   if (indexed || loop_index.has_value()) {
-    if (context.list != nullptr && loop_index.has_value()) {
-      if (*loop_index < context.list->size()) {
-        auto it = (*context.list)[*loop_index].find(name);
-        if (it != (*context.list)[*loop_index].end()) {
-          out->append(it->second.ToString());
-          return Status::OK();
-        }
+    if (context.list != nullptr && loop_index.has_value() &&
+        *loop_index < context.list->size()) {
+      if (const Value* v = (*context.list)[*loop_index].Find(name)) {
+        AppendValue(*v, out);
+        return Status::OK();
       }
     }
     if (indexed) {
@@ -201,29 +220,23 @@ Status Template::ResolveVariable(const std::string& name, bool indexed,
     }
   }
   // Subject chain, innermost first.
-  for (const TupleBinding* subject : context.subjects) {
-    auto it = subject->find(name);
-    if (it != subject->end()) {
-      out->append(it->second.ToString());
+  for (const BoundRow& subject : context.subjects) {
+    if (const Value* v = subject.Find(name)) {
+      AppendValue(*v, out);
       return Status::OK();
     }
   }
   // Whole-list access: join all values.
   if (context.list != nullptr) {
     bool found = false;
-    std::string joined;
-    for (const TupleBinding& binding : *context.list) {
-      auto it = binding.find(name);
-      if (it != binding.end()) {
-        if (found) joined.append(", ");
-        joined.append(it->second.ToString());
+    for (const BoundRow& row : *context.list) {
+      if (const Value* v = row.Find(name)) {
+        if (found) out->append(", ");
+        AppendValue(*v, out);
         found = true;
       }
     }
-    if (found) {
-      out->append(joined);
-      return Status::OK();
-    }
+    if (found) return Status::OK();
   }
   return Status::NotFound("template: attribute '@" + name +
                           "' not bound in the evaluation context");
@@ -247,12 +260,7 @@ Status Template::EvaluateNodes(const std::vector<Node>& nodes,
                                              loop_index, out));
         break;
       case Node::Kind::kLoop: {
-        size_t arity = 0;
-        if (context.list != nullptr) {
-          for (const TupleBinding& binding : *context.list) {
-            if (binding.count(node.loop_attr) > 0) ++arity;
-          }
-        }
+        const size_t arity = ListArity(context, node.loop_attr);
         if (arity == 0) break;
         if (node.loop_last) {
           PRECIS_RETURN_NOT_OK(EvaluateNodes(node.body, context, catalog,
@@ -274,15 +282,10 @@ Status Template::EvaluateNodes(const std::vector<Node>& nodes,
                 "template: $count(...)$ takes a single @ATTR reference");
           }
           const std::string& attr = node.body[0].text;
-          size_t arity = 0;
-          if (context.list != nullptr) {
-            for (const TupleBinding& binding : *context.list) {
-              if (binding.count(attr) > 0) ++arity;
-            }
-          }
+          size_t arity = ListArity(context, attr);
           if (arity == 0) {
-            for (const TupleBinding* subject : context.subjects) {
-              if (subject->count(attr) > 0) {
+            for (const BoundRow& subject : context.subjects) {
+              if (subject.Find(attr) != nullptr) {
                 arity = 1;
                 break;
               }

@@ -39,7 +39,6 @@
 #ifndef PRECIS_TRANSLATOR_TEMPLATE_H_
 #define PRECIS_TRANSLATOR_TEMPLATE_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,15 +49,38 @@
 
 namespace precis {
 
-/// Attribute-name (uppercased) to value binding for one tuple.
-using TupleBinding = std::map<std::string, Value>;
+/// Position of the lowercase attribute `name` among `names` — the last one
+/// when two names lowercase alike — or -1 when there is none.
+inline int AttributePosition(const std::vector<std::string>& names,
+                             const std::string& name) {
+  for (size_t i = names.size(); i > 0; --i) {
+    if (names[i - 1] == name) return static_cast<int>(i - 1);
+  }
+  return -1;
+}
+
+/// \brief One tuple as a template sees it: the lowercased attribute names
+/// of its relation and the tuple's values, position-aligned. Non-owning —
+/// the translator points it at the result database's own tuples, so
+/// binding a tuple copies nothing.
+struct BoundRow {
+  const std::vector<std::string>* names = nullptr;
+  const Value* values = nullptr;
+
+  /// The value of attribute `name` (lowercase), or nullptr when the tuple
+  /// has none (AttributePosition resolves repeated names).
+  const Value* Find(const std::string& name) const {
+    const int pos = AttributePosition(*names, name);
+    return pos < 0 ? nullptr : values + pos;
+  }
+};
 
 /// \brief Evaluation context for a template: a chain of subject tuples
 /// (innermost first — the paper's clause subject plus its ancestors along
 /// the traversal) and an optional list of joined tuples.
 struct TemplateContext {
-  std::vector<const TupleBinding*> subjects;
-  const std::vector<TupleBinding>* list = nullptr;
+  std::vector<BoundRow> subjects;
+  const std::vector<BoundRow>* list = nullptr;
 };
 
 class TemplateCatalog;  // macro registry, defined in catalog.h

@@ -24,6 +24,12 @@
 namespace precis {
 
 /// \brief Renders PrecisAnswers to text through a TemplateCatalog.
+///
+/// Each call binds the result database once — lowercased attribute names
+/// per relation, a hash index per join attribute used, an equality class
+/// per row — and every occurrence and subject of the call walks that shared
+/// view, so the work grows with the result database and the clauses
+/// emitted, not with subjects × result tuples (DESIGN.md §18).
 class Translator {
  public:
   explicit Translator(const TemplateCatalog* catalog) : catalog_(catalog) {}

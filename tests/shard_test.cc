@@ -195,6 +195,38 @@ TEST_F(ShardedDatabaseTest, InsertRejectsCrossShardPrimaryKeyDuplicate) {
   EXPECT_FALSE(inserted.ok());
 }
 
+TEST_F(ShardedDatabaseTest, InsertRejectsDuplicateKeyHeldByNonOwnerShard) {
+  auto sharded = ShardedDatabase::Partition(dataset_->db(), 4);
+  ASSERT_TRUE(sharded.ok());
+  auto view = sharded->GetView("GENRE");
+  ASSERT_TRUE(view.ok());
+  const Tid next = (*view)->num_tuples();
+  const size_t owner = sharded->ShardOf("GENRE", next);
+  // An existing row that lives on a shard other than the new row's owner:
+  // only the cross-shard check can see its key.
+  Tid holder = 0;
+  while ((*view)->OwnerOf(holder) == owner) ++holder;
+  ASSERT_LT(holder, next);
+
+  std::vector<uint64_t> before;
+  for (size_t s = 0; s < 4; ++s) before.push_back(sharded->shard_epoch(s));
+  Tuple dup = FreshGenreTuple(0);
+  dup[0] = (*view)->ColumnValue(holder, 0);
+  auto inserted = sharded->Insert("GENRE", std::move(dup));
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_TRUE(inserted.status().IsInvalidArgument());
+  EXPECT_EQ(inserted.status().message(),
+            "duplicate primary key value for attribute 'gid' in relation "
+            "'GENRE'");
+  EXPECT_EQ((*view)->num_tuples(), next);
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(sharded->shard_epoch(s), before[s]) << "shard " << s;
+  }
+
+  // A fresh key still goes in.
+  EXPECT_TRUE(sharded->Insert("GENRE", FreshGenreTuple(5000000)).ok());
+}
+
 // ---------------------------------------------------------------------------
 // The determinism suite: sharded answers are byte-identical to the single
 // engine under every stop/fault/strategy combination.

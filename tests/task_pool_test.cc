@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -250,6 +252,39 @@ TEST(TaskPoolTest, ManyConcurrentGroupsShareOnePool) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(done.load(), kClients * kTasksPerClient);
+}
+
+TEST(TaskPoolTest, GroupMayDieAsSoonAsWaitReturns) {
+  // Fork-join on a stack Group: Wait() returning must mean no worker will
+  // touch the Group again. Each round builds a Group in reused storage,
+  // waits, destroys it and poisons the bytes, so a worker still finishing
+  // TaskDone on the dead Group locks a garbage mutex (glibc aborts on its
+  // owner check; ASan/TSan report the use after destruction). Two callers
+  // run rounds at once for 1.5 s; with the decrement outside the lock this
+  // aborted in every run on a 4-vCPU machine.
+  TaskPool pool(4);
+  std::atomic<long> ran{0};
+  std::atomic<long> rounds{0};
+  const auto deadline = Clock::now() + std::chrono::milliseconds(1500);
+  auto stress = [&] {
+    alignas(TaskPool::Group) unsigned char storage[sizeof(TaskPool::Group)];
+    while (Clock::now() < deadline) {
+      auto* group = new (storage) TaskPool::Group(&pool);
+      for (int t = 0; t < 4; ++t) {
+        group->Run([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      }
+      group->Wait();
+      group->~Group();
+      std::memset(storage, 0xA5, sizeof(storage));
+      rounds.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread first(stress);
+  std::thread second(stress);
+  first.join();
+  second.join();
+  EXPECT_GT(rounds.load(), 0);
+  EXPECT_EQ(ran.load(), rounds.load() * 4);
 }
 
 TEST(TaskPoolTest, SharedPoolIsASingleton) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "datagen/movies_dataset.h"
 #include "datagen/movies_templates.h"
@@ -14,17 +18,42 @@ namespace {
 
 // ===== Template language =====
 
-TupleBinding Woody() {
-  return {{"dname", Value("Woody Allen")},
-          {"bdate", Value("December 1, 1935")},
-          {"blocation", Value("Brooklyn, New York, USA")}};
+/// Owns the attribute names and values a BoundRow views.
+struct Row {
+  std::vector<std::string> names;
+  std::vector<Value> values;
+  BoundRow view() const { return BoundRow{&names, values.data()}; }
+};
+
+Row MakeRow(std::initializer_list<std::pair<std::string, Value>> cells) {
+  Row row;
+  for (const auto& [name, value] : cells) {
+    row.names.push_back(name);
+    row.values.push_back(value);
+  }
+  return row;
 }
 
-std::vector<TupleBinding> ThreeMovies() {
-  return {{{"title", Value("Match Point")}, {"year", Value(int64_t{2005})}},
-          {{"title", Value("Melinda and Melinda")},
-           {"year", Value(int64_t{2004})}},
-          {{"title", Value("Anything Else")}, {"year", Value(int64_t{2003})}}};
+/// Views of `rows`, for TemplateContext::list; `rows` must outlive them.
+std::vector<BoundRow> Views(const std::vector<Row>& rows) {
+  std::vector<BoundRow> views;
+  for (const Row& row : rows) views.push_back(row.view());
+  return views;
+}
+
+Row Woody() {
+  return MakeRow({{"dname", Value("Woody Allen")},
+                  {"bdate", Value("December 1, 1935")},
+                  {"blocation", Value("Brooklyn, New York, USA")}});
+}
+
+std::vector<Row> ThreeMovies() {
+  return {MakeRow({{"title", Value("Match Point")},
+                   {"year", Value(int64_t{2005})}}),
+          MakeRow({{"title", Value("Melinda and Melinda")},
+                   {"year", Value(int64_t{2004})}}),
+          MakeRow({{"title", Value("Anything Else")},
+                   {"year", Value(int64_t{2003})}})};
 }
 
 TEST(TemplateTest, LiteralOnly) {
@@ -37,9 +66,9 @@ TEST(TemplateTest, LiteralOnly) {
 TEST(TemplateTest, SubjectVariableSubstitution) {
   auto t = Template::Parse("@DNAME was born on @BDATE in @BLOCATION.");
   ASSERT_TRUE(t.ok());
-  TupleBinding subject = Woody();
+  Row subject = Woody();
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
+  ctx.subjects.push_back(subject.view());
   EXPECT_EQ(*t->Evaluate(ctx, nullptr),
             "Woody Allen was born on December 1, 1935 in Brooklyn, New "
             "York, USA.");
@@ -48,9 +77,9 @@ TEST(TemplateTest, SubjectVariableSubstitution) {
 TEST(TemplateTest, VariableNamesAreCaseInsensitive) {
   auto t = Template::Parse("@dname / @DnAmE");
   ASSERT_TRUE(t.ok());
-  TupleBinding subject = Woody();
+  Row subject = Woody();
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
+  ctx.subjects.push_back(subject.view());
   EXPECT_EQ(*t->Evaluate(ctx, nullptr), "Woody Allen / Woody Allen");
 }
 
@@ -64,22 +93,22 @@ TEST(TemplateTest, UnboundVariableIsNotFound) {
 TEST(TemplateTest, AncestorChainResolution) {
   auto t = Template::Parse("@ANAME plays in @TITLE");
   ASSERT_TRUE(t.ok());
-  TupleBinding movie = {{"title", Value("Match Point")}};
-  TupleBinding actor = {{"aname", Value("Scarlett Johansson")}};
+  Row movie = MakeRow({{"title", Value("Match Point")}});
+  Row actor = MakeRow({{"aname", Value("Scarlett Johansson")}});
   TemplateContext ctx;
-  ctx.subjects.push_back(&movie);
-  ctx.subjects.push_back(&actor);  // ancestor
+  ctx.subjects.push_back(movie.view());
+  ctx.subjects.push_back(actor.view());  // ancestor
   EXPECT_EQ(*t->Evaluate(ctx, nullptr),
             "Scarlett Johansson plays in Match Point");
 }
 
 TEST(TemplateTest, InnermostSubjectWins) {
   auto t = Template::Parse("@X");
-  TupleBinding inner = {{"x", Value("inner")}};
-  TupleBinding outer = {{"x", Value("outer")}};
+  Row inner = MakeRow({{"x", Value("inner")}});
+  Row outer = MakeRow({{"x", Value("outer")}});
   TemplateContext ctx;
-  ctx.subjects.push_back(&inner);
-  ctx.subjects.push_back(&outer);
+  ctx.subjects.push_back(inner.view());
+  ctx.subjects.push_back(outer.view());
   EXPECT_EQ(*t->Evaluate(ctx, nullptr), "inner");
 }
 
@@ -87,12 +116,13 @@ TEST(TemplateTest, ListVariableJoinsAllValues) {
   // "Match Point is Drama, Thriller."
   auto t = Template::Parse("@TITLE is @GENRE.");
   ASSERT_TRUE(t.ok());
-  TupleBinding movie = {{"title", Value("Match Point")}};
-  std::vector<TupleBinding> genres = {{{"genre", Value("Drama")}},
-                                      {{"genre", Value("Thriller")}}};
+  Row movie = MakeRow({{"title", Value("Match Point")}});
+  std::vector<Row> genres = {MakeRow({{"genre", Value("Drama")}}),
+                             MakeRow({{"genre", Value("Thriller")}})};
+  std::vector<BoundRow> genre_views = Views(genres);
   TemplateContext ctx;
-  ctx.subjects.push_back(&movie);
-  ctx.list = &genres;
+  ctx.subjects.push_back(movie.view());
+  ctx.list = &genre_views;
   EXPECT_EQ(*t->Evaluate(ctx, nullptr), "Match Point is Drama, Thriller.");
 }
 
@@ -101,9 +131,10 @@ TEST(TemplateTest, LoopAllButLastThenLast) {
       "[i<arityof(@TITLE)]{@TITLE[$i$] (@YEAR[$i$]), }"
       "[i=arityof(@TITLE)]{@TITLE[$i$] (@YEAR[$i$]).}");
   ASSERT_TRUE(t.ok());
-  std::vector<TupleBinding> movies = ThreeMovies();
+  std::vector<Row> movies = ThreeMovies();
+  std::vector<BoundRow> movie_views = Views(movies);
   TemplateContext ctx;
-  ctx.list = &movies;
+  ctx.list = &movie_views;
   EXPECT_EQ(*t->Evaluate(ctx, nullptr),
             "Match Point (2005), Melinda and Melinda (2004), Anything Else "
             "(2003).");
@@ -112,7 +143,8 @@ TEST(TemplateTest, LoopAllButLastThenLast) {
 TEST(TemplateTest, LoopWithSingleElementRunsOnlyLastBlock) {
   auto t = Template::Parse(
       "[i<arityof(@TITLE)]{@TITLE[$i$], }[i=arityof(@TITLE)]{@TITLE[$i$].}");
-  std::vector<TupleBinding> one = {{{"title", Value("Match Point")}}};
+  std::vector<Row> rows = {MakeRow({{"title", Value("Match Point")}})};
+  std::vector<BoundRow> one = Views(rows);
   TemplateContext ctx;
   ctx.list = &one;
   EXPECT_EQ(*t->Evaluate(ctx, nullptr), "Match Point.");
@@ -120,7 +152,7 @@ TEST(TemplateTest, LoopWithSingleElementRunsOnlyLastBlock) {
 
 TEST(TemplateTest, LoopWithEmptyListProducesNothing) {
   auto t = Template::Parse("x[i=arityof(@TITLE)]{@TITLE[$i$]}y");
-  std::vector<TupleBinding> none;
+  std::vector<BoundRow> none;
   TemplateContext ctx;
   ctx.list = &none;
   EXPECT_EQ(*t->Evaluate(ctx, nullptr), "xy");
@@ -129,9 +161,10 @@ TEST(TemplateTest, LoopWithEmptyListProducesNothing) {
 TEST(TemplateTest, IndexedVariableOutsideLoopIsError) {
   auto t = Template::Parse("@TITLE[$i$]");
   ASSERT_TRUE(t.ok());
-  std::vector<TupleBinding> movies = ThreeMovies();
+  std::vector<Row> movies = ThreeMovies();
+  std::vector<BoundRow> movie_views = Views(movies);
   TemplateContext ctx;
-  ctx.list = &movies;
+  ctx.list = &movie_views;
   EXPECT_TRUE(t->Evaluate(ctx, nullptr).status().IsInvalidArgument());
 }
 
@@ -159,9 +192,9 @@ TEST(TemplateTest, MacroExpansion) {
   ASSERT_TRUE(catalog.DefineMacro("GREET", "hello @DNAME").ok());
   auto t = Template::Parse("<< %GREET% >>");
   ASSERT_TRUE(t.ok());
-  TupleBinding subject = Woody();
+  Row subject = Woody();
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
+  ctx.subjects.push_back(subject.view());
   EXPECT_EQ(*t->Evaluate(ctx, &catalog), "<< hello Woody Allen >>");
 }
 
@@ -196,11 +229,12 @@ TEST(TemplateTest, PaperMovieListMacro) {
   auto t =
       Template::Parse("As a director, @DNAME's work includes %MOVIE_LIST%");
   ASSERT_TRUE(t.ok());
-  TupleBinding subject = Woody();
-  std::vector<TupleBinding> movies = ThreeMovies();
+  Row subject = Woody();
+  std::vector<Row> movies = ThreeMovies();
+  std::vector<BoundRow> movie_views = Views(movies);
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
-  ctx.list = &movies;
+  ctx.subjects.push_back(subject.view());
+  ctx.list = &movie_views;
   EXPECT_EQ(*t->Evaluate(ctx, &catalog),
             "As a director, Woody Allen's work includes Match Point (2005), "
             "Melinda and Melinda (2004), Anything Else (2003).");
@@ -209,9 +243,9 @@ TEST(TemplateTest, PaperMovieListMacro) {
 // ===== Functions =====
 
 TEST(TemplateFunctionTest, UpperLowerTrim) {
-  TupleBinding subject = Woody();
+  Row subject = Woody();
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
+  ctx.subjects.push_back(subject.view());
   EXPECT_EQ(*Template::Parse("$upper(@DNAME)$")->Evaluate(ctx, nullptr),
             "WOODY ALLEN");
   EXPECT_EQ(*Template::Parse("$lower(@DNAME)$")->Evaluate(ctx, nullptr),
@@ -220,26 +254,27 @@ TEST(TemplateFunctionTest, UpperLowerTrim) {
 }
 
 TEST(TemplateFunctionTest, FunctionsNest) {
-  TupleBinding subject = Woody();
+  Row subject = Woody();
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
+  ctx.subjects.push_back(subject.view());
   EXPECT_EQ(
       *Template::Parse("$upper($trim(  @DNAME  )$)$")->Evaluate(ctx, nullptr),
       "WOODY ALLEN");
 }
 
 TEST(TemplateFunctionTest, CountReportsListArity) {
-  std::vector<TupleBinding> movies = ThreeMovies();
+  std::vector<Row> movies = ThreeMovies();
+  std::vector<BoundRow> movie_views = Views(movies);
   TemplateContext ctx;
-  ctx.list = &movies;
+  ctx.list = &movie_views;
   EXPECT_EQ(*Template::Parse("$count(@TITLE)$ works")->Evaluate(ctx, nullptr),
             "3 works");
 }
 
 TEST(TemplateFunctionTest, CountOnSubjectIsOneAndUnboundIsZero) {
-  TupleBinding subject = Woody();
+  Row subject = Woody();
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
+  ctx.subjects.push_back(subject.view());
   EXPECT_EQ(*Template::Parse("$count(@DNAME)$")->Evaluate(ctx, nullptr), "1");
   EXPECT_EQ(*Template::Parse("$count(@NOPE)$")->Evaluate(ctx, nullptr), "0");
 }
@@ -269,11 +304,12 @@ TEST(TemplateFunctionTest, BareDollarIsLiteral) {
 }
 
 TEST(TemplateFunctionTest, CountInsideSentence) {
-  std::vector<TupleBinding> movies = ThreeMovies();
-  TupleBinding subject = Woody();
+  std::vector<Row> movies = ThreeMovies();
+  std::vector<BoundRow> movie_views = Views(movies);
+  Row subject = Woody();
   TemplateContext ctx;
-  ctx.subjects.push_back(&subject);
-  ctx.list = &movies;
+  ctx.subjects.push_back(subject.view());
+  ctx.list = &movie_views;
   auto t = Template::Parse(
       "@DNAME directed $count(@TITLE)$ relevant movies.");
   ASSERT_TRUE(t.ok());
